@@ -22,8 +22,9 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-import tempfile
 from pathlib import Path
+
+from repro.resilience.durable import atomic_replace
 
 PAGE_MAGIC = b"ORPHPG1\0"
 _LEN_STRUCT = struct.Struct(">Q")
@@ -84,28 +85,14 @@ def write_page(directory: Path, page_id: str, payload: bytes) -> bool:
     final = page_path(directory, page_id)
     if final.exists():
         return False
-    directory.mkdir(parents=True, exist_ok=True)
     blob = (
         PAGE_MAGIC
         + _LEN_STRUCT.pack(len(payload))
         + hashlib.sha256(payload).digest()
         + payload
     )
-    fd, tmp_name = tempfile.mkstemp(
-        dir=directory, prefix=page_id + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, final)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    # One directory fsync per save covers every new page (the caller's).
+    atomic_replace(final, blob, durable=True, sync_dir=False)
     return True
 
 
@@ -151,16 +138,3 @@ def stray_page_temps(directory: Path) -> list[Path]:
     if not directory.is_dir():
         return []
     return sorted(directory.glob("*.tmp"))
-
-
-def fsync_dir(directory: Path) -> None:
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)

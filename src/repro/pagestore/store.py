@@ -36,7 +36,6 @@ import io
 import json
 import os
 import pickle
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +47,7 @@ from repro.pagestore.bufferpool import get_pool, refresh_pins_from_heat
 from repro.pagestore.codec import PICKLE_PROTOCOL
 from repro.pagestore.pages import PageCorruptionError
 from repro.resilience import failpoints
+from repro.resilience.durable import atomic_replace, fsync_dir
 
 #: Version of the outer (container payload) structure.
 SKELETON_FORMAT = 2
@@ -608,7 +608,7 @@ def paged_save(store, obj) -> dict:
             pool.discard_dirty(pages_path, page_id)
         raise
     if written:
-        pagefiles.fsync_dir(pages_path)
+        fsync_dir(pages_path)
     failpoints.fire("pagestore.after_page_write")
 
     accountant = getattr(getattr(obj, "database", None), "accountant", None)
@@ -711,28 +711,6 @@ def _directory_generation(refs) -> dict:
     }
 
 
-def _write_directory_file(root, document: dict) -> None:
-    path = directory_path(root)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = json.dumps(document, indent=None).encode()
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    pagefiles.fsync_dir(path.parent)
-
-
 def _swap_directory(root, refs, page_bytes: int) -> None:
     from repro.resilience.statestore import BACKUP_SUFFIXES
 
@@ -741,13 +719,13 @@ def _swap_directory(root, refs, page_bytes: int) -> None:
     generations = [_directory_generation(refs)] + generations
     generations = generations[: 1 + len(BACKUP_SUFFIXES)]
     failpoints.fire("pagestore.before_directory_swap")
-    _write_directory_file(
-        root,
-        {
-            "schema_version": DIRECTORY_SCHEMA_VERSION,
-            "page_bytes": page_bytes,
-            "generations": generations,
-        },
+    document = {
+        "schema_version": DIRECTORY_SCHEMA_VERSION,
+        "page_bytes": page_bytes,
+        "generations": generations,
+    }
+    atomic_replace(
+        directory_path(root), json.dumps(document).encode(), durable=True
     )
     failpoints.fire("pagestore.after_directory_swap")
 
@@ -768,7 +746,9 @@ def rebuild_directory(root) -> dict | None:
         "page_bytes": page_bytes,
         "generations": generations,
     }
-    _write_directory_file(root, document)
+    atomic_replace(
+        directory_path(root), json.dumps(document).encode(), durable=True
+    )
     return document
 
 

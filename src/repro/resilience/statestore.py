@@ -37,6 +37,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.resilience import failpoints
+from repro.resilience.durable import fsync_dir
 
 MAGIC = b"ORPHSTA1"
 #: Paged-layout container: same header, but the payload is a pagestore
@@ -161,7 +162,7 @@ class StateStore:
             failpoints.fire("statestore.before_replace")
             os.replace(tmp_name, self.path)
             failpoints.fire("statestore.after_replace")
-            self._fsync_dir()
+            fsync_dir(self.dir)
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -187,18 +188,6 @@ class StateStore:
             # Filesystem without hard links: fall back to a copy.
             link_tmp.write_bytes(self.path.read_bytes())
         os.replace(link_tmp, bak)
-
-    def _fsync_dir(self) -> None:
-        try:
-            dir_fd = os.open(self.dir, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass
-        finally:
-            os.close(dir_fd)
 
     # ------------------------------------------------------------------
     # Load

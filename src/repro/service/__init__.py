@@ -34,8 +34,8 @@ concurrency, caching, and backpressure become first-class subsystems:
   flight (``orpheus replay``) with a recorded-vs-replayed report.
 * :mod:`repro.service.loadgen` — the open-loop Zipf-skewed synthetic
   load generator behind ``orpheus bench --tier service-scale``.
-* :mod:`repro.service.faults` — chaos fault injection for the serving
-  layer (``ORPHEUS_SERVICE_FAILPOINTS``): connection resets, torn
+* ``service.*`` failpoints in :mod:`repro.resilience.failpoints` —
+  chaos fault injection for the serving layer: connection resets, torn
   frames, worker exceptions, failing saves, cache corruption.
 * :mod:`repro.service.degrade` — graceful degradation: degraded
   read-only mode on repeated save failures, and the poison-request
@@ -67,7 +67,6 @@ from repro.service.degrade import (
     Quarantine,
     QuarantinedRequestError,
 )
-from repro.service.faults import InjectedFaultError
 from repro.service.loadgen import LoadConfig, run_load
 from repro.service.protocol import PROTOCOL_VERSION, Request, Response
 from repro.service.recorder import FlightRecorder, read_flight
@@ -82,7 +81,6 @@ __all__ = [
     "DegradeController",
     "DegradedError",
     "FlightRecorder",
-    "InjectedFaultError",
     "LoadConfig",
     "PROTOCOL_VERSION",
     "Quarantine",

@@ -33,6 +33,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from repro.telemetry import nearest_rank
+
 LOADGEN_SCHEMA_VERSION = 1
 
 
@@ -155,10 +157,8 @@ class StepStats:
 
 
 def _pct(sorted_values: list[float], fraction: float) -> float | None:
-    if not sorted_values:
-        return None
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return round(sorted_values[index], 6)
+    value = nearest_rank(sorted_values, fraction)
+    return None if value is None else round(value, 6)
 
 
 # ----------------------------------------------------------------------

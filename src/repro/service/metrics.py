@@ -26,13 +26,17 @@ them distinct from the folded ``repro_*`` telemetry families.
 
 from __future__ import annotations
 
-import re
 import threading
 from collections import deque
 
 from repro import telemetry
 from repro.telemetry.registry import Histogram
-from repro.telemetry.snapshot import _prom_label_value, _prom_value
+from repro.telemetry.snapshot import (
+    _prom_labels,
+    _prom_name,
+    _prom_scalar,
+    _prom_summary,
+)
 
 from repro.service.tracing import PHASES, RequestTrace
 
@@ -268,48 +272,42 @@ class ServiceMetrics:
         """
         with self._lock:
             lines: list[str] = []
-            _counter(lines, "orpheusd_requests_total", self.requests_total)
-            _counter(lines, "orpheusd_errors_total", self.errors_total)
-            _counter(lines, "orpheusd_busy_total", self.busy_total)
-            _counter(
-                lines,
-                "orpheusd_deadline_exceeded_responses_total",
-                self.deadline_total,
-            )
-            _counter(
-                lines,
-                "orpheusd_degraded_responses_total",
-                self.degraded_total,
-            )
-            _counter(
-                lines, "orpheusd_slow_requests_total", self.slow_total
-            )
-            for name, value in sorted((extra_counters or {}).items()):
-                _counter(lines, _family(name), value)
+            for name, value in (
+                ("requests_total", self.requests_total),
+                ("errors_total", self.errors_total),
+                ("busy_total", self.busy_total),
+                ("deadline_exceeded_responses_total", self.deadline_total),
+                ("degraded_responses_total", self.degraded_total),
+                ("slow_requests_total", self.slow_total),
+                *sorted((extra_counters or {}).items()),
+            ):
+                _prom_scalar(
+                    lines, "counter", _prom_name(name, "orpheusd_"), float(value)
+                )
             for name, value in sorted((extra_gauges or {}).items()):
-                _gauge(lines, _family(name), value)
+                _prom_scalar(
+                    lines, "gauge", _prom_name(name, "orpheusd_"), float(value)
+                )
 
             ops = sorted(self.by_op.items())
             if ops:
-                lines.append("# TYPE orpheusd_op_requests_total counter")
-                for op, stats in ops:
-                    lines.append(
-                        f'orpheusd_op_requests_total{{op="'
-                        f'{_prom_label_value(op)}"}} {stats.count}'
-                    )
-                lines.append("# TYPE orpheusd_op_errors_total counter")
-                for op, stats in ops:
-                    lines.append(
-                        f'orpheusd_op_errors_total{{op="'
-                        f'{_prom_label_value(op)}"}} {stats.errors}'
-                    )
+                for family, attr in (
+                    ("orpheusd_op_requests_total", "count"),
+                    ("orpheusd_op_errors_total", "errors"),
+                ):
+                    lines.append(f"# TYPE {family} counter")
+                    for op, stats in ops:
+                        lines.append(
+                            f"{family}{{{_prom_labels({'op': op})}}} "
+                            f"{getattr(stats, attr)}"
+                        )
                 lines.append("# TYPE orpheusd_request_seconds summary")
                 for op, stats in ops:
                     lines.extend(
-                        _labeled_summary(
+                        _prom_summary(
                             "orpheusd_request_seconds",
+                            stats.latency.summary(),
                             {"op": op},
-                            stats.latency,
                         )
                     )
                 lines.append("# TYPE orpheusd_phase_seconds summary")
@@ -318,46 +316,11 @@ class ServiceMetrics:
                         histogram = stats.phases[phase]
                         if histogram.count:
                             lines.extend(
-                                _labeled_summary(
+                                _prom_summary(
                                     "orpheusd_phase_seconds",
+                                    histogram.summary(),
                                     {"op": op, "phase": phase},
-                                    histogram,
                                 )
                             )
             return "\n".join(lines) + "\n"
 
-
-def _family(name: str) -> str:
-    """A legal ``orpheusd_*`` family name from a dotted stats key."""
-    return "orpheusd_" + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
-
-
-def _counter(lines: list[str], family: str, value: float) -> None:
-    lines.append(f"# TYPE {family} counter")
-    lines.append(f"{family} {_prom_value(float(value))}")
-
-
-def _gauge(lines: list[str], family: str, value: float) -> None:
-    lines.append(f"# TYPE {family} gauge")
-    lines.append(f"{family} {_prom_value(float(value))}")
-
-
-def _labeled_summary(
-    family: str, labels: dict[str, str], histogram: Histogram
-) -> list[str]:
-    """Summary sample lines for one labeled series (no TYPE header —
-    the caller declares the family type once)."""
-    base = ",".join(
-        f'{name}="{_prom_label_value(value)}"'
-        for name, value in labels.items()
-    )
-    lines = []
-    for quantile, fraction in (("0.5", 0.50), ("0.95", 0.95), ("0.99", 0.99)):
-        value = histogram.percentile(fraction)
-        if value is not None:
-            lines.append(
-                f'{family}{{{base},quantile="{quantile}"}} {value}'
-            )
-    lines.append(f"{family}_sum{{{base}}} {histogram.total}")
-    lines.append(f"{family}_count{{{base}}} {histogram.count}")
-    return lines

@@ -55,6 +55,7 @@ import uuid
 from pathlib import Path
 
 from repro import telemetry
+from repro.resilience.durable import RecordLog, encode_record, read_records
 
 #: Bumped on incompatible record-shape changes; readers refuse nothing
 #: (forward-compatible key lookup) but replay warns on a mismatch.
@@ -168,9 +169,9 @@ class FlightRecorder:
         self.records_written = 0
         self.records_sampled_out = 0
         self._lock = threading.Lock()
-        self._handle = None
+        #: The open segment (one held descriptor), None between segments.
+        self._segment: RecordLog | None = None
         self._segment_seq = 0
-        self._segment_path: Path | None = None
         self._segment_written = 0
 
     # ------------------------------------------------------------------
@@ -240,15 +241,19 @@ class FlightRecorder:
         self.append(entry)
 
     def append(self, entry: dict) -> None:
-        """Append one already-shaped record under the writer lock."""
-        line = json.dumps(entry, sort_keys=True, default=str) + "\n"
-        data = line.encode("utf-8")
+        """Append one already-shaped record under the writer lock,
+        rotating first if it would breach the segment size bound."""
+        data = encode_record(entry)
         try:
             with self._lock:
-                handle = self._current_handle(len(data))
-                handle.write(data)
-                handle.flush()
-                self._segment_written += len(data)
+                if (
+                    self._segment is not None
+                    and self._segment_written + len(data) > self.segment_bytes
+                ):
+                    self._close_segment()
+                if self._segment is None:
+                    self._open_segment()
+                self._segment_written += self._segment.append(data)
                 self.records_written += 1
         except OSError:
             # A full disk must not take the request path down with it.
@@ -256,56 +261,36 @@ class FlightRecorder:
             return
         telemetry.count("service.flight.records")
 
-    def _current_handle(self, incoming: int):
-        """The open segment, rotating first if this write would breach
-        the size bound. Called under ``self._lock``."""
-        if (
-            self._handle is not None
-            and self._segment_written + incoming > self.segment_bytes
-        ):
-            self._close_handle()
-        if self._handle is None:
-            self._open_segment()
-        return self._handle
-
     def _open_segment(self) -> None:
-        self.dir.mkdir(parents=True, exist_ok=True)
         self._segment_seq += 1
-        self._segment_path = self.dir / (
-            f"flight-{self.boot_id}-{self._segment_seq:06d}.jsonl"
+        self._segment = RecordLog(
+            self.dir / f"flight-{self.boot_id}-{self._segment_seq:06d}.jsonl",
+            keep_open=True,
         )
-        self._handle = open(self._segment_path, "ab")
-        header = {
-            "kind": "header",
-            "schema": FLIGHT_SCHEMA_VERSION,
-            "boot_id": self.boot_id,
-            "pid": self.pid,
-            "segment": self._segment_seq,
-            "sample": self.sample,
-            "ts": telemetry.now(),
-        }
-        data = (
-            json.dumps(header, sort_keys=True, default=str) + "\n"
-        ).encode("utf-8")
-        self._handle.write(data)
-        self._handle.flush()
-        self._segment_written = len(data)
+        self._segment_written = self._segment.append(
+            {
+                "kind": "header",
+                "schema": FLIGHT_SCHEMA_VERSION,
+                "boot_id": self.boot_id,
+                "pid": self.pid,
+                "segment": self._segment_seq,
+                "sample": self.sample,
+                "ts": telemetry.now(),
+            }
+        )
         self._prune()
 
-    def _close_handle(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
+    def _close_segment(self) -> None:
+        if self._segment is not None:
+            self._segment.close()
+            self._segment = None
 
     def _prune(self) -> None:
         """Keep at most ``max_segments`` files in the directory (all
         epochs counted — the bound is on disk, not per boot)."""
         segments = list_segments(self.dir)
         for stale in segments[: max(0, len(segments) - self.max_segments)]:
-            if stale == self._segment_path:
+            if stale == self._segment.path:
                 continue
             try:
                 stale.unlink()
@@ -314,7 +299,7 @@ class FlightRecorder:
 
     def close(self) -> None:
         with self._lock:
-            self._close_handle()
+            self._close_segment()
 
     # ------------------------------------------------------------------
     # Status
@@ -368,30 +353,9 @@ def read_segment(path: str | Path) -> tuple[dict | None, list[dict], bool]:
     parse (or a file not ending in a newline) marks the tail torn —
     expected after a crash, never fatal.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError:
-        return None, [], False
-    torn = bool(raw) and not raw.endswith(b"\n")
-    header: dict | None = None
-    records: list[dict] = []
-    lines = raw.decode("utf-8", errors="replace").splitlines()
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            if index == len(lines) - 1:
-                torn = True
-            continue
-        if not isinstance(entry, dict):
-            continue
-        if entry.get("kind") == "header" and header is None:
-            header = entry
-        elif entry.get("kind") == "request":
-            records.append(entry)
+    entries, torn = read_records(path)
+    header = next((e for e in entries if e.get("kind") == "header"), None)
+    records = [e for e in entries if e.get("kind") == "request"]
     return header, records, torn
 
 

@@ -43,6 +43,7 @@ from repro.service.recorder import (
     read_flight,
     request_outcome,
 )
+from repro.telemetry import nearest_rank
 
 #: Bumped on incompatible report-shape changes; consumers (CI, tests)
 #: key on it.
@@ -67,21 +68,14 @@ DEFAULT_BUDGET_MS = 5.0
 FAULT_OUTCOMES = ("deadline_exceeded", "degraded", "worker_error")
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float | None:
-    if not sorted_values:
-        return None
-    index = min(len(sorted_values) - 1, int(fraction * len(sorted_values)))
-    return sorted_values[index]
-
-
 def _summary(durations: list[float]) -> dict:
     """count + p50/p95/p99 of one duration population."""
     ordered = sorted(durations)
     return {
         "count": len(ordered),
-        "p50_s": _round(_percentile(ordered, 0.50)),
-        "p95_s": _round(_percentile(ordered, 0.95)),
-        "p99_s": _round(_percentile(ordered, 0.99)),
+        "p50_s": _round(nearest_rank(ordered, 0.50)),
+        "p95_s": _round(nearest_rank(ordered, 0.95)),
+        "p99_s": _round(nearest_rank(ordered, 0.99)),
     }
 
 

@@ -36,13 +36,13 @@ bounded by compaction so a misbehaving deployment cannot fill a disk.
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 from pathlib import Path
 
 from repro import telemetry
 from repro.observe.journal import new_trace_id
+from repro.resilience.durable import RecordLog
 
 #: Request phases, in lifecycle order; also the child-span names
 #: (prefixed ``service.``) of every request's span tree.
@@ -331,17 +331,9 @@ class SlowLog:
             slow_threshold_ms() if threshold_ms is None else threshold_ms
         )
         self.max_entries = max(2, max_entries)
+        self._log = RecordLog(self.path)
         self._count: int | None = None
         self.appended = 0
-
-    def _load_count(self) -> int:
-        if self._count is None:
-            try:
-                with open(self.path, "r", encoding="utf-8") as handle:
-                    self._count = sum(1 for line in handle if line.strip())
-            except OSError:
-                self._count = 0
-        return self._count
 
     def consider(self, trace: RequestTrace) -> bool:
         """Append the request's span tree when it breached the
@@ -352,45 +344,20 @@ class SlowLog:
         return True
 
     def append(self, tree: dict) -> None:
-        count = self._load_count()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if count + 1 > self.max_entries:
-            self._compact()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(tree, sort_keys=True, default=str) + "\n")
-        self._count = self._load_count() + 1
+        if self._count is None:
+            self._count = len(self.read())
+        if self._count + 1 > self.max_entries:
+            keep = self.read()[-(self.max_entries // 2):]
+            self._log.rewrite(keep)
+            self._count = len(keep)
+        self._log.append(tree)
+        self._count += 1
         self.appended += 1
         telemetry.count("service.slow_requests")
 
-    def _compact(self) -> None:
-        keep = self.read()[-(self.max_entries // 2):]
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in keep:
-                handle.write(
-                    json.dumps(entry, sort_keys=True, default=str) + "\n"
-                )
-        os.replace(tmp, self.path)
-        self._count = len(keep)
-
     def read(self) -> list[dict]:
         """All well-formed entries, oldest first (torn tails skipped)."""
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return []
-        entries = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(entry, dict):
-                entries.append(entry)
-        return entries
+        return self._log.read()
 
     def stats(self) -> dict:
         """Summary for ``stats``/``status`` payloads and the doctor."""
@@ -399,9 +366,7 @@ class SlowLog:
             e["duration_s"] for e in entries
             if isinstance(e.get("duration_s"), (int, float))
         )
-        p99 = None
-        if durations:
-            p99 = durations[min(len(durations) - 1, int(0.99 * len(durations)))]
+        p99 = telemetry.nearest_rank(durations, 0.99)
         return {
             "count": len(entries),
             "appended": self.appended,

@@ -39,7 +39,12 @@ from repro.telemetry.profiling import (
     enable_profiling,
     is_profiling,
 )
-from repro.telemetry.registry import Histogram, Registry, get_registry
+from repro.telemetry.registry import (
+    Histogram,
+    Registry,
+    get_registry,
+    nearest_rank,
+)
 from repro.telemetry.snapshot import Snapshot
 from repro.telemetry.spans import (
     SpanNode,
@@ -73,6 +78,7 @@ __all__ = [
     "last_span_tree",
     "log",
     "monotonic",
+    "nearest_rank",
     "now",
     "observe",
     "reset",

@@ -25,6 +25,13 @@ import threading
 RESERVOIR_CAP = 2048
 
 
+def nearest_rank(ordered: list[float], fraction: float) -> float | None:
+    """Nearest-rank percentile of already-sorted values (None if empty)."""
+    if not ordered:
+        return None
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
+
+
 class Histogram:
     """Streaming distribution summary with a bounded value reservoir."""
 
@@ -59,11 +66,7 @@ class Histogram:
 
     def percentile(self, fraction: float) -> float | None:
         """Nearest-rank percentile over the reservoir (None when empty)."""
-        if not self.values:
-            return None
-        ordered = sorted(self.values)
-        rank = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[rank]
+        return nearest_rank(sorted(self.values), fraction)
 
     def summary(self) -> dict:
         """Serializable form; ``values`` keeps the reservoir for merges."""

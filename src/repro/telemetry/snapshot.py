@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from repro.telemetry.registry import RESERVOIR_CAP
+from repro.telemetry.registry import RESERVOIR_CAP, nearest_rank
 
 
 @dataclass
@@ -152,13 +152,9 @@ class Snapshot:
         """Prometheus text exposition format (metric names sanitized)."""
         lines: list[str] = []
         for name in sorted(self.counters):
-            metric = _prom_name(name)
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {_prom_value(self.counters[name])}")
+            _prom_scalar(lines, "counter", _prom_name(name), self.counters[name])
         for name in sorted(self.gauges):
-            metric = _prom_name(name)
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_prom_value(self.gauges[name])}")
+            _prom_scalar(lines, "gauge", _prom_name(name), self.gauges[name])
         for name in sorted(self.histograms):
             lines.extend(_prom_summary(_prom_name(name), self.histograms[name]))
         for name in sorted(self.spans):
@@ -172,9 +168,10 @@ class Snapshot:
                         _prom_name(f"span.{name}.failed_seconds"), failed
                     )
                 )
-            error_metric = _prom_name(f"span.{name}.errors")
-            lines.append(f"# TYPE {error_metric} counter")
-            lines.append(f"{error_metric} {stats['errors']}")
+            _prom_scalar(
+                lines, "counter", _prom_name(f"span.{name}.errors"),
+                stats["errors"],
+            )
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -189,34 +186,29 @@ def _merge_histogram(first: dict, second: dict) -> dict:
         values = values[::2]
         stride *= 2
     ordered = sorted(values)
-
-    def percentile(fraction: float) -> float | None:
-        if not ordered:
-            return None
-        return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
-
     return {
         "count": count,
         "total": total,
         "min": min(mins) if mins else None,
         "max": max(maxs) if maxs else None,
-        "p50": percentile(0.50),
-        "p95": percentile(0.95),
-        "p99": percentile(0.99),
+        "p50": nearest_rank(ordered, 0.50),
+        "p95": nearest_rank(ordered, 0.95),
+        "p99": nearest_rank(ordered, 0.99),
         "values": values,
         "stride": stride,
     }
 
 
-def _prom_name(name: str) -> str:
+def _prom_name(name: str, prefix: str = "repro_") -> str:
     """A legal exposition-format metric name.
 
     The charset is ``[a-zA-Z_:][a-zA-Z0-9_:]*``; dotted telemetry names
-    and anything else outside it collapse to underscores. The ``repro_``
-    prefix guarantees a legal first character even for names that start
-    with a digit.
+    and anything else outside it collapse to underscores. The prefix
+    (``repro_`` for folded telemetry, ``orpheusd_`` for the daemon's own
+    families) guarantees a legal first character even for names that
+    start with a digit.
     """
-    return "repro_" + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
+    return prefix + re.sub(r"[^a-zA-Z0-9_:]", "_", name)
 
 
 def _prom_label_name(name: str) -> str:
@@ -241,17 +233,36 @@ def _prom_value(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _prom_summary(metric: str, histogram: dict) -> list[str]:
-    lines = [f"# TYPE {metric} summary"]
-    label = _prom_label_name("quantile")
+def _prom_labels(labels: dict) -> str:
+    """``name="value",...`` for a sample's label set (no braces)."""
+    return ",".join(
+        f'{_prom_label_name(name)}="{_prom_label_value(value)}"'
+        for name, value in labels.items()
+    )
+
+
+def _prom_scalar(lines: list[str], kind: str, metric: str, value) -> None:
+    """One unlabeled counter or gauge family: TYPE line plus sample."""
+    lines.append(f"# TYPE {metric} {kind}")
+    lines.append(f"{metric} {_prom_value(value)}")
+
+
+def _prom_summary(
+    metric: str, histogram: dict, labels: dict | None = None
+) -> list[str]:
+    """Summary lines for one series of ``histogram`` (a summary dict).
+    An unlabeled series is its own family and carries the TYPE line;
+    labeled series share a family whose TYPE the caller declares once."""
+    lines = [] if labels else [f"# TYPE {metric} summary"]
+    base = _prom_labels(labels or {})
+    prefix = base + "," if base else ""
     for quantile, key in (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99")):
         value = histogram.get(key)
         if value is not None:
-            lines.append(
-                f'{metric}{{{label}="{_prom_label_value(quantile)}"}} {value}'
-            )
-    lines.append(f"{metric}_sum {histogram['total']}")
-    lines.append(f"{metric}_count {histogram['count']}")
+            lines.append(f'{metric}{{{prefix}quantile="{quantile}"}} {value}')
+    series = f"{{{base}}}" if base else ""
+    lines.append(f"{metric}_sum{series} {histogram['total']}")
+    lines.append(f"{metric}_count{series} {histogram['count']}")
     return lines
 
 

@@ -18,20 +18,26 @@ from repro.resilience.failpoints import (
 class TestParseSpec:
     def test_single_crash(self):
         parsed = parse_spec("statestore.after_replace=crash")
-        assert parsed == {"statestore.after_replace": ("crash", CRASH_EXIT_CODE)}
+        assert set(parsed) == {"statestore.after_replace"}
+        armed = parsed["statestore.after_replace"]
+        assert (armed.kind, armed.arg) == ("crash", CRASH_EXIT_CODE)
 
     def test_crash_with_code(self):
         parsed = parse_spec("journal.before_append=crash:99")
-        assert parsed["journal.before_append"] == ("crash", 99)
+        armed = parsed["journal.before_append"]
+        assert (armed.kind, armed.arg) == ("crash", 99)
 
     def test_multiple_separators(self):
         parsed = parse_spec(
             "journal.before_append=error;intent.after_begin=delay:0.25,"
             "csv.mid_write=error"
         )
-        assert parsed["journal.before_append"] == ("error", None)
-        assert parsed["intent.after_begin"] == ("delay", 0.25)
-        assert parsed["csv.mid_write"] == ("error", None)
+        kinds = {name: (a.kind, a.arg) for name, a in parsed.items()}
+        assert kinds == {
+            "journal.before_append": ("error", None),
+            "intent.after_begin": ("delay", 0.25),
+            "csv.mid_write": ("error", None),
+        }
 
     def test_empty_spec(self):
         assert parse_spec("") == {}

@@ -1,6 +1,7 @@
 """The chaos matrix: a real subprocess daemon is driven into every
-service-layer fault site (ORPHEUS_SERVICE_FAILPOINTS) while clients run
-a mixed op workload. The containment contract, asserted per cell:
+service-layer fault site (the ``service.*`` failpoints, armed through
+ORPHEUS_FAILPOINTS) while clients run a mixed op workload. The
+containment contract, asserted per cell:
 
 * the daemon process survives (except the explicit ``crash`` cells);
 * every client receives a *typed* outcome — ok, or a ServiceError /
@@ -26,7 +27,7 @@ from repro.service.client import (
     ServiceError,
     ServiceUnavailableError,
 )
-from repro.service.faults import REGISTERED
+from repro.resilience.failpoints import REGISTERED
 
 from tests.service.conftest import (
     SUBPROCESS_TIMEOUT,
@@ -37,15 +38,15 @@ from tests.service.conftest import (
 #: One daemon per spec; every op below runs against it as one cell.
 #: Counts are finite so every daemon heals before the final checks.
 CHAOS_SPECS = [
-    "conn.after_recv=error@1",
-    "conn.after_recv=reset@1",
-    "conn.before_send=reset@1",
-    "conn.before_send=torn@1",
-    "worker.before_execute=error@1",
-    "worker.before_execute=delay:0.1@2",
-    "worker.mid_execute=error@1",
-    "state.before_save=error@2",
-    "cache.corrupt_entry=corrupt@1",
+    "service.conn.after_recv=error@1",
+    "service.conn.after_recv=reset@1",
+    "service.conn.before_send=reset@1",
+    "service.conn.before_send=torn@1",
+    "service.worker.before_execute=error@1",
+    "service.worker.before_execute=delay:0.1@2",
+    "service.worker.mid_execute=error@1",
+    "service.state.before_save=error@2",
+    "service.cache.corrupt_entry=corrupt@1",
 ]
 
 OPS = ("checkout", "ls", "log", "commit")
@@ -84,11 +85,14 @@ def _run_cell(workspace, tmp_path, spec, op, acked):
     return outcome
 
 
-@pytest.mark.parametrize("spec", CHAOS_SPECS)
+@pytest.mark.parametrize(
+    # Cell ids name the site without its ``service.`` layer prefix.
+    "spec", CHAOS_SPECS, ids=lambda spec: spec.removeprefix("service.")
+)
 def test_chaos_cell_containment(workspace, tmp_path, spec):
     seed_dataset(workspace)
     proc = spawn_daemon_subprocess(
-        workspace, "--workers", "2", service_failpoints_spec=spec
+        workspace, "--workers", "2", failpoints_spec=spec
     )
     acked: list[int] = []
     try:
@@ -130,7 +134,7 @@ def test_chaos_crash_cell_recovers_on_restart(workspace, tmp_path):
     seed_dataset(workspace)
     proc = spawn_daemon_subprocess(
         workspace,
-        service_failpoints_spec="worker.mid_execute=crash",
+        failpoints_spec="service.worker.mid_execute=crash",
     )
     try:
         work = tmp_path / "doomed.csv"
@@ -144,7 +148,7 @@ def test_chaos_crash_cell_recovers_on_restart(workspace, tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=SUBPROCESS_TIMEOUT)
-    CELLS.append(("worker.mid_execute=crash", "commit", "crash"))
+    CELLS.append(("service.worker.mid_execute=crash", "commit", "crash"))
 
     proc = spawn_daemon_subprocess(workspace)
     try:
@@ -169,7 +173,7 @@ def test_chaos_degraded_mode_subprocess(workspace, tmp_path):
     seed_dataset(workspace)
     proc = spawn_daemon_subprocess(
         workspace,
-        service_failpoints_spec="state.before_save=error@3",
+        failpoints_spec="service.state.before_save=error@3",
     )
     try:
         with ServiceClient(root=str(workspace), timeout=30) as client:
@@ -182,7 +186,7 @@ def test_chaos_degraded_mode_subprocess(workspace, tmp_path):
                         message=f"doomed {turn}", parents=[1],
                     )
                 CELLS.append(
-                    ("state.before_save=error@3", "commit", "typed")
+                    ("service.state.before_save=error@3", "commit", "typed")
                 )
             status = client.status()
             assert status["degrade"]["degraded"], status["degrade"]
@@ -192,7 +196,11 @@ def test_chaos_degraded_mode_subprocess(workspace, tmp_path):
                     message="refused", parents=[1],
                 )
             CELLS.append(
-                ("state.before_save=error@3", "commit", "typed:degraded")
+                (
+                    "service.state.before_save=error@3",
+                    "commit",
+                    "typed:degraded",
+                )
             )
             # reads flow while degraded
             data = client.checkout("inter", [1], inline=True)
@@ -219,10 +227,10 @@ def test_chaos_concurrent_commit_storm_no_lost_updates(
     proc = spawn_daemon_subprocess(
         workspace,
         "--workers", "2",
-        service_failpoints_spec=(
-            "state.before_save=error@2,"
-            "conn.before_send=reset@2,"
-            "worker.before_execute=delay:0.02@10"
+        failpoints_spec=(
+            "service.state.before_save=error@2,"
+            "service.conn.before_send=reset@2,"
+            "service.worker.before_execute=delay:0.02@10"
         ),
     )
     acked = []
@@ -303,6 +311,7 @@ def test_chaos_matrix_coverage():
         f"chaos matrix ran only {len(CELLS)} cells: {CELLS}"
     )
     visited = {spec.split("=", 1)[0] for spec, _, _ in CELLS if "=" in spec}
-    assert REGISTERED <= visited, (
-        f"fault sites never exercised: {sorted(REGISTERED - visited)}"
+    service_sites = {n for n in REGISTERED if n.startswith("service.")}
+    assert service_sites <= visited, (
+        f"fault sites never exercised: {sorted(service_sites - visited)}"
     )

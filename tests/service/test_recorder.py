@@ -257,16 +257,10 @@ def test_write_error_counts_not_raises(tmp_path, monkeypatch):
     recorder = FlightRecorder(root=str(tmp_path), sample=1.0)
     recorder.append(_entry(0))
 
-    class _Broken:
-        def write(self, data):
-            raise OSError("disk full")
-        def flush(self):
-            raise OSError("disk full")
-        def close(self):
-            pass
+    def disk_full(fd, data):
+        raise OSError("disk full")
 
-    recorder._handle = _Broken()
-    recorder._segment_written = 0
+    monkeypatch.setattr(os, "write", disk_full)
     recorder.append(_entry(1))  # must swallow, not raise
     assert telemetry.snapshot().counters.get(
         "service.flight.write_errors"
