@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.relational.costs import CostAccountant
@@ -34,6 +35,12 @@ class Table:
     stay position-stable; :meth:`vacuum` compacts when needed.
     """
 
+    #: ``sum(schema.row_bytes(row))`` over the live rows in their
+    #: in-memory form, or ``None`` until the next completed scan
+    #: computes it. Transient: never pickled, never in the paged
+    #: skeleton, reset whenever rows may change form.
+    _scan_bytes: int | None = None
+
     def __init__(
         self,
         name: str,
@@ -50,6 +57,7 @@ class Table:
         self._rows: list[Row | None] = []
         self._live_count = 0
         self._bytes = 0
+        self._scan_bytes = 0
         self._pk_index: HashIndex | None = (
             HashIndex() if self.enforce_primary_key else None
         )
@@ -80,6 +88,7 @@ class Table:
         try:
             rows = pager.load(self.accountant)
             self._rows = rows
+            self._scan_bytes = None  # decoded rows may change form
             if pager.index_spec.get("pk") and self.enforce_primary_key:
                 pk_index = HashIndex()
                 for slot, row in enumerate(rows):
@@ -177,6 +186,8 @@ class Table:
         self._live_count += 1
         row_bytes = self.schema.row_bytes(stored)
         self._bytes += row_bytes
+        if self._scan_bytes is not None:
+            self._scan_bytes += row_bytes
         self.accountant.charge_write(1, row_bytes)
         if self._pk_index is not None:
             self._pk_index.add(self.schema.key_of(stored), slot)
@@ -209,6 +220,8 @@ class Table:
         self._live_count -= 1
         row_bytes = self.schema.row_bytes(row)
         self._bytes -= row_bytes
+        if self._scan_bytes is not None:
+            self._scan_bytes -= row_bytes
         self.accountant.charge_write(1, row_bytes)
         if self._pk_index is not None:
             self._pk_index.remove(self.schema.key_of(row), slot)
@@ -246,16 +259,21 @@ class Table:
             self.schema.position(column): expr.bind(self.schema)
             for column, expr in assignments.items()
         }
-        updated = 0
-        for slot, row in self._iter_slots():
-            self.accountant.charge_seq_scan(1, self.schema.row_bytes(row))
-            if test is not None and not test(row):
-                continue
-            new_row = list(row)
-            for position, evaluate in bound.items():
-                new_row[position] = evaluate(row)
-            self._replace_at(slot, tuple(new_row))
-            updated += 1
+        updated = scanned = scanned_bytes = 0
+        try:
+            for slot, row in self._iter_slots():
+                scanned += 1
+                scanned_bytes += self.schema.row_bytes(row)
+                if test is not None and not test(row):
+                    continue
+                new_row = list(row)
+                for position, evaluate in bound.items():
+                    new_row[position] = evaluate(row)
+                self._replace_at(slot, tuple(new_row))
+                updated += 1
+        finally:
+            if scanned:
+                self.accountant.charge_seq_scan(scanned, scanned_bytes)
         return updated
 
     def _replace_at(self, slot: int, new_row: Row) -> None:
@@ -287,6 +305,8 @@ class Table:
                 ordered_index.add(new_row[position], slot)  # type: ignore[arg-type]
         self._rows[slot] = new_row
         self._bytes += new_bytes - old_bytes
+        if self._scan_bytes is not None:
+            self._scan_bytes += new_bytes - old_bytes
         self.accountant.charge_write(1, new_bytes)
 
     # ------------------------------------------------------------------
@@ -305,6 +325,7 @@ class Table:
             if row is not None:
                 self._rows[slot] = row + (None,)
                 self._bytes += column.dtype.sizeof(None)
+        self._scan_bytes = None
         self.accountant.charge_write(self._live_count)
 
     def widen_column(self, name: str, dtype) -> None:
@@ -330,6 +351,7 @@ class Table:
                 mutable = list(row)
                 mutable[position] = coerced
                 self._rows[slot] = tuple(mutable)
+        self._scan_bytes = None
         self.accountant.charge_write(self._live_count)
 
     def vacuum(self) -> None:
@@ -359,10 +381,56 @@ class Table:
                 yield slot, row
 
     def scan(self) -> Iterator[Row]:
-        """Full sequential scan; charges one sequential row per live row."""
-        for _slot, row in self._iter_slots():
-            self.accountant.charge_seq_scan(1, self.schema.row_bytes(row))
-            yield row
+        """Full sequential scan, charged once when the scan ends.
+
+        Rows are counted as they are yielded and charged in one
+        ``charge_seq_scan`` when the generator is exhausted, closed or
+        dropped, so a partial scan (``first_where``, a consumer that
+        breaks early) pays for exactly the rows it yielded. A completed
+        scan takes its bytes from the cached live total ``_scan_bytes``;
+        a partial scan, or the first completed scan after the cache was
+        reset, sums ``row_bytes`` over the rows at close. (A table
+        mutated while one of its scans is open is therefore charged the
+        bytes of those rows as they stand at close.)
+        """
+        self._ensure_page_load()
+        rows = self._rows
+        yielded = 0
+        completed = False
+        try:
+            for row in rows:
+                if row is not None:
+                    yielded += 1
+                    yield row
+            completed = True
+        finally:
+            if yielded:
+                self._charge_scan(rows, yielded, completed)
+
+    def _charge_scan(
+        self, rows: list[Row | None], yielded: int, completed: bool
+    ) -> None:
+        if not completed:
+            row_bytes = self._live_bytes(rows, yielded)
+        elif self._scan_bytes is not None and rows is self._rows:
+            row_bytes = self._scan_bytes
+        else:
+            row_bytes = self._live_bytes(rows)
+            if rows is self._rows:
+                # Concurrent readers may both fill the cache; they
+                # compute the same value, and writers are exclusive.
+                self._scan_bytes = row_bytes
+        self.accountant.charge_seq_scan(yielded, row_bytes)
+
+    def _live_bytes(
+        self, rows: list[Row | None], limit: int | None = None
+    ) -> int:
+        """``row_bytes`` summed over the first ``limit`` (default: all)
+        live rows of ``rows``."""
+        live: Iterator[Row] = (row for row in rows if row is not None)
+        if limit is not None:
+            live = itertools.islice(live, limit)
+        return sum(map(self.schema.row_bytes, live))
 
     def scan_where(self, predicate: Expression) -> Iterator[Row]:
         """Sequential scan with a pushed-down filter."""
@@ -392,18 +460,17 @@ class Table:
             position = self.schema.position(column)
             return [row for row in self.scan() if row[position] == key]
         self.accountant.charge_index_probe(1)
-        rows: list[Row] = []
-        clustered = self._is_clustered_on(column)
-        for slot in index.lookup(key):
-            row = self._rows[slot]
-            if row is None:
-                continue
-            row_bytes = self.schema.row_bytes(row)
-            if clustered:
-                self.accountant.charge_seq_scan(1, row_bytes)
+        rows: list[Row] = [
+            row
+            for row in map(self._rows.__getitem__, index.lookup(key))
+            if row is not None
+        ]
+        if rows:
+            row_bytes = sum(map(self.schema.row_bytes, rows))
+            if self._is_clustered_on(column):
+                self.accountant.charge_seq_scan(len(rows), row_bytes)
             else:
-                self.accountant.charge_random_read(1, row_bytes)
-            rows.append(row)
+                self.accountant.charge_random_read(len(rows), row_bytes)
         return rows
 
     def lookup_many(self, column: str, keys: Iterable[Hashable]) -> list[Row]:
@@ -454,7 +521,9 @@ class Table:
     def __getstate__(self) -> dict:
         self._ensure_page_load()  # a plain pickle must carry the rows
         state = dict(self.__dict__)
-        for transient in ("_pager", "_saved_ref", "_saved_stamp"):
+        for transient in (
+            "_pager", "_saved_ref", "_saved_stamp", "_scan_bytes"
+        ):
             state.pop(transient, None)
         return state
 
@@ -465,6 +534,7 @@ class Table:
         self.__dict__.setdefault("_pager", None)
         self.__dict__.setdefault("_saved_ref", None)
         self.__dict__.setdefault("_saved_stamp", -1)
+        self._scan_bytes = None
 
 
 class _PkAdapter:
