@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.errors import NoSuchVersionError
-from repro.relational.types import DataType
+from repro.relational.types import DataType, interned
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,9 @@ class AttributeEntry:
     attr_id: int
     name: str
     dtype: DataType
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, dtype=interned(state["dtype"]))
 
 
 class AttributeRegistry:

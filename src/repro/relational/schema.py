@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.relational.errors import SchemaError, UnknownColumnError
-from repro.relational.types import DataType, generalize_types
+from repro.relational.types import DataType, generalize_types, interned
 
 
 @dataclass(frozen=True)
@@ -19,6 +19,9 @@ class ColumnDef:
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("column name must be non-empty")
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, dtype=interned(state["dtype"]))
 
 
 @dataclass

@@ -32,6 +32,12 @@ class DataType:
     python_type: type
     byte_size: int
 
+    def __reduce__(self):
+        # Pickle by name: a reload must restore the module singletons,
+        # because validate/coerce/sizeof (and schema evolution) compare
+        # types with ``is``.
+        return (type_by_name, (self.name,))
+
     def validate(self, value: object) -> bool:
         """Return True if ``value`` is storable in a column of this type."""
         if value is None:
@@ -100,6 +106,15 @@ def type_by_name(name: str) -> DataType:
         return _BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown data type {name!r}") from None
+
+
+def interned(dtype: DataType) -> DataType:
+    """The module singleton named like ``dtype``.
+
+    States saved before :class:`DataType` pickled by name unpickle each
+    column type as a copy, which fails every ``is`` check; their holders
+    swap the copy for the singleton as they load."""
+    return _BY_NAME.get(dtype.name, dtype)
 
 
 def generalize_types(a: DataType, b: DataType) -> DataType:

@@ -22,7 +22,7 @@ from repro.relational import costs
 from repro.relational.expressions import col, lit
 from repro.relational.schema import ColumnDef, Schema
 from repro.relational.table import Table
-from repro.relational.types import FLOAT, INT, INT_ARRAY, TEXT
+from repro.relational.types import BOOL, FLOAT, INT, INT_ARRAY, TEXT
 from repro.resilience.statestore import StateStore
 
 MODELS = [
@@ -101,8 +101,9 @@ def checkout_all(orpheus, name: str, out: list) -> None:
 
 
 def run_history(model: str, layout: str, root) -> list:
-    """Insert, delete, UPDATE, ADD COLUMN, widen, vacuum and a reload,
-    checking out every version after each step."""
+    """Insert, delete, UPDATE, ADD COLUMN, widen, vacuum, a reload and
+    a schema-changing commit after it, checking out every version after
+    each step."""
     orpheus = Orpheus()
     orpheus.create_user("alice")
     orpheus.config("alice")
@@ -146,6 +147,14 @@ def run_history(model: str, layout: str, root) -> list:
     assert info.paged == (layout == "paged")
     checkout_all(reloaded, "ds", out)
     checkout_all(reloaded, "ds", out)  # second pass: cache warm
+
+    tagged = [row + (row[1] > 20,) for row in widened + [("z001", 7.25, "late")]]
+    reloaded.cvd("ds").commit(
+        tagged, parents=(5,), message="after reload", author="alice",
+        columns=["key", "value", "note", "big"],
+        column_types={"big": BOOL},
+    )
+    checkout_all(reloaded, "ds", out)
     return out
 
 

@@ -123,6 +123,48 @@ class TestLifecycle:
         lines = merged.read_text().strip().splitlines()
         assert len(lines) == 1 + 3  # header + union of records
 
+    @pytest.mark.parametrize("layout", ["pickle", "paged"])
+    def test_schema_change_after_reload(self, workspace, monkeypatch, layout):
+        # Every command reloads state, so these commits run against
+        # unpickled column types: an added column, then a widened one.
+        monkeypatch.setenv("ORPHEUS_STATE_LAYOUT", layout)
+        run(workspace, "init", "-d", "x",
+            "-f", str(workspace / "data.csv"),
+            "-s", str(workspace / "schema.csv"))
+        noted = workspace / "noted.csv"
+        noted.write_text(
+            "protein1,protein2,coexpression,note\n"
+            "ENSP1,ENSP2,10,a\nENSP3,ENSP4,90,b\n"
+        )
+        noted_schema = workspace / "noted_schema.csv"
+        noted_schema.write_text(
+            "protein1,text\nprotein2,text\ncoexpression,integer\n"
+            "note,text\nprimary_key,protein1,protein2\n"
+        )
+        assert run(workspace, "commit", "-d", "x", "-f", str(noted),
+                   "-s", str(noted_schema)) == 0
+        widened = workspace / "widened.csv"
+        widened.write_text(
+            "protein1,protein2,coexpression,note\n"
+            "ENSP1,ENSP2,10.5,a\nENSP3,ENSP4,90,b\n"
+        )
+        widened_schema = workspace / "widened_schema.csv"
+        widened_schema.write_text(
+            noted_schema.read_text().replace(
+                "coexpression,integer", "coexpression,decimal"
+            )
+        )
+        assert run(workspace, "commit", "-d", "x", "-f", str(widened),
+                   "-s", str(widened_schema)) == 0
+        out = workspace / "out.csv"
+        assert run(workspace, "checkout", "-d", "x", "-v", "2",
+                   "-f", str(out)) == 0
+        assert sorted(out.read_text().strip().splitlines()) == [
+            "ENSP1,ENSP2,10.0,a",
+            "ENSP3,ENSP4,90.0,b",
+            "protein1,protein2,coexpression,note",
+        ]
+
 
 class TestProfileCommand:
     def _init(self, workspace):
