@@ -351,7 +351,8 @@ class Table:
                 mutable = list(row)
                 mutable[position] = coerced
                 self._rows[slot] = tuple(mutable)
-        self._scan_bytes = None
+        # The widened type sizes every value of the column anew.
+        self._bytes = self._scan_bytes = self._live_bytes(self._rows)
         self.accountant.charge_write(self._live_count)
 
     def vacuum(self) -> None:

@@ -67,3 +67,16 @@ class TestWidenColumn:
         table.widen_column("n", FLOAT)
         table.add_column(ColumnDef("tag", TEXT))
         assert table.lookup("id", 2)[0][1] == 20.0
+
+    @pytest.mark.parametrize("dtype", [FLOAT, TEXT])
+    def test_storage_bytes_follow_widening(self, dtype):
+        schema = Schema(
+            [ColumnDef("id", INT), ColumnDef("n", INT)], primary_key=("id",)
+        )
+        t = Table("t", schema)
+        t.insert((1, 12345))
+        t.widen_column("n", dtype)
+        per_row = sum(t.schema.row_bytes(row) for row in t.rows_snapshot())
+        # text "12345" is 6 bytes and decimal 8, against integer's 4
+        assert per_row == 4 + (6 if dtype is TEXT else 8)
+        assert t.storage_bytes(include_indexes=False) == per_row

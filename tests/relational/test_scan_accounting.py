@@ -272,6 +272,8 @@ def test_cache_tracks_every_mutation():
     assert table._scan_bytes is None
     rows, _, nbytes = charged(table, lambda: list(table.scan()))
     assert nbytes == row_bytes(table, rows) == table._scan_bytes
+    table.widen_column("id", FLOAT)
+    assert table._scan_bytes == table._live_bytes(table._rows) == table._bytes
 
 
 def test_cache_is_transient(tmp_path):
