@@ -209,6 +209,11 @@ class ServiceDaemon:
         #: fold and at drain.
         self.heat = HeatAccountant()
         self._metrics_server = None
+        #: Requests fully folded by :meth:`_finalize_request`. A client
+        #: can read its response before that fold runs, so tests wait
+        #: on this count (:meth:`wait_finalized`) before reading metrics.
+        self.finalized_total = 0
+        self._finalized = threading.Condition()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1153,21 +1158,35 @@ class ServiceDaemon:
         fold-file counters the bench runner reads for the
         queue-wait/exec split."""
         try:
-            slow = self.slow_log.consider(rtrace)
-        except Exception:
-            slow = False  # a full disk must not kill the connection
-        try:
-            self.recorder.record(rtrace, request)
-        except Exception:
-            pass  # same contract: recording never kills the connection
-        self.metrics.record(rtrace, slow=slow)
-        self._fold_heat(rtrace)
-        telemetry.count("service.request.count")
-        for name, value in rtrace.phase_seconds().items():
-            telemetry.count(f"service.request.{name}_seconds_total", value)
-        telemetry.count(
-            "service.request.total_seconds_total", rtrace.total_s
-        )
+            try:
+                slow = self.slow_log.consider(rtrace)
+            except Exception:
+                slow = False  # a full disk must not kill the connection
+            try:
+                self.recorder.record(rtrace, request)
+            except Exception:
+                pass  # same contract: recording never kills the connection
+            self.metrics.record(rtrace, slow=slow)
+            self._fold_heat(rtrace)
+            telemetry.count("service.request.count")
+            for name, value in rtrace.phase_seconds().items():
+                telemetry.count(f"service.request.{name}_seconds_total", value)
+            telemetry.count(
+                "service.request.total_seconds_total", rtrace.total_s
+            )
+        finally:
+            with self._finalized:
+                self.finalized_total += 1
+                self._finalized.notify_all()
+
+    def wait_finalized(self, count: int, timeout: float) -> bool:
+        """Block until ``count`` requests have been finalized (metrics,
+        flight recorder, slow log, heat and telemetry all folded).
+        Returns False if ``timeout`` seconds pass first."""
+        with self._finalized:
+            return self._finalized.wait_for(
+                lambda: self.finalized_total >= count, timeout
+            )
 
     def _fold_heat(self, rtrace: RequestTrace) -> None:
         """Fold a successful dataset access into the heat model and the

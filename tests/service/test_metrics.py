@@ -204,6 +204,9 @@ class TestMetricsServer:
                 client.checkout(
                     "inter", [1], file=str(tmp_path / "out.csv")
                 )
+            # The client can read its reply before the daemon folds the
+            # request into its metrics; wait for that fold.
+            assert handle.daemon.wait_finalized(1, timeout=30)
             # The ephemeral port is discoverable from the status file —
             # how CI (and humans) find the scrape endpoint.
             status_file = workspace / ".orpheus" / "service.json"
@@ -327,6 +330,7 @@ class TestTopDashboard:
                 client.checkout(
                     "inter", [1], file=str(tmp_path / "out.csv")
                 )
+            assert handle.daemon.wait_finalized(1, timeout=30)
             buffer = io.StringIO()
             assert run_top(
                 root=str(workspace), once=True, as_json=True,
@@ -363,6 +367,7 @@ class TestTopDashboard:
                 client.checkout(
                     "inter", [1], file=str(tmp_path / "out.csv")
                 )
+            assert handle.daemon.wait_finalized(1, timeout=30)
             capsys.readouterr()  # drop the seed-dataset init banner
             assert main(
                 ["--root", str(workspace), "top", "--once", "--json"]
