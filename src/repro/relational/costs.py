@@ -13,6 +13,16 @@ Every charge is mirrored into the process telemetry registry under the
 *lifetime* I/O totals across invocations — not just the per-EXPLAIN
 snapshots a single command sees. While telemetry is disabled (the
 default for embedding programs) the mirror costs one branch per charge.
+
+Charges are made per operator call, not per row. ``Table.scan`` counts
+the rows it yields and charges them once, when the scan is exhausted or
+closed; a partial scan (``first_where``, an early ``break``, a dropped
+generator) is charged at close for exactly the rows it yielded. Its
+bytes come from the table's ``_scan_bytes``, the exact
+``Schema.row_bytes`` sum over its live rows, which inserts, deletes and
+updates keep current and which is never persisted. Index lookups and
+``update_where`` likewise make one charge per call. The totals are the
+ones a per-row charge gives.
 """
 
 from __future__ import annotations

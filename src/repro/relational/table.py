@@ -38,7 +38,8 @@ class Table:
     #: ``sum(schema.row_bytes(row))`` over the live rows in their
     #: in-memory form, or ``None`` until the next completed scan
     #: computes it. Transient: never pickled, never in the paged
-    #: skeleton, reset whenever rows may change form.
+    #: skeleton, reset whenever rows may change form. This class-level
+    #: ``None`` is what unpickled and paged-loaded tables read.
     _scan_bytes: int | None = None
 
     def __init__(
@@ -272,6 +273,7 @@ class Table:
                 self._replace_at(slot, tuple(new_row))
                 updated += 1
         finally:
+            # Rows read before a failing update are still charged.
             if scanned:
                 self.accountant.charge_seq_scan(scanned, scanned_bytes)
         return updated
@@ -535,7 +537,6 @@ class Table:
         self.__dict__.setdefault("_pager", None)
         self.__dict__.setdefault("_saved_ref", None)
         self.__dict__.setdefault("_saved_stamp", -1)
-        self._scan_bytes = None
 
 
 class _PkAdapter:

@@ -12,6 +12,7 @@ bookkeeping calls do not grow with its row count.
 from __future__ import annotations
 
 import gc
+import pickle
 
 import pytest
 
@@ -276,16 +277,15 @@ def test_cache_tracks_every_mutation():
     assert table._scan_bytes == table._live_bytes(table._rows) == table._bytes
 
 
-def test_cache_is_transient(tmp_path):
-    import pickle
-
+def test_cache_is_transient():
     table = make_table()
     list(table.scan())
     assert "_scan_bytes" not in table.__getstate__()
     copy = pickle.loads(pickle.dumps(table))
     assert copy._scan_bytes is None
-    rows, seq_rows, nbytes = charged(copy, lambda: list(copy.scan()))
+    rows, _, nbytes = charged(copy, lambda: list(copy.scan()))
     assert nbytes == row_bytes(copy, rows)
+    assert copy._scan_bytes == nbytes
 
 
 def test_cache_stays_out_of_the_paged_skeleton(tmp_path, monkeypatch):
